@@ -21,7 +21,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestFault|TestEvent|TestWAL|TestReaderCache|TestSharedRead|TestRPC|TestRecover|TestDegrade|TestScan|TestCompact|TestScrub' $(RACE_CORE)
+	$(GO) test -race -run 'TestFault|TestEvent|TestWAL|TestReaderCache|TestSharedRead|TestRPC|TestRecover|TestDegrade|TestScan|TestCompact|TestScrub|TestRestart|TestForcedRedistribution' $(RACE_CORE)
 
 # Seeded kill/recover soak under the race detector: a periodic fault rule
 # kills a rank over and over while every rank loads, the victim Recovers in

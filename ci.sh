@@ -6,7 +6,7 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./internal/fifo ./internal/lru ./internal/mpi ./internal/scrub ./internal/sstable ./internal/wal
-go test -race -run 'TestFault|TestEvent|TestWAL|TestReaderCache|TestSharedRead|TestRPC|TestRecover|TestDegrade|TestScan|TestCompact|TestScrub' ./internal/core
+go test -race -run 'TestFault|TestEvent|TestWAL|TestReaderCache|TestSharedRead|TestRPC|TestRecover|TestDegrade|TestScan|TestCompact|TestScrub|TestRestart|TestForcedRedistribution' ./internal/core
 go test -race -run 'TestChaos' -count=1 -timeout 300s ./internal/core
 go test -race -run 'TestOverloadSoak' -count=1 -timeout 300s ./internal/core
 go test -race -run 'TestCrash' -count=1 -timeout 300s ./internal/core

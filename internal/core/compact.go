@@ -34,33 +34,11 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 
 	"papyruskv/internal/manifest"
 	"papyruskv/internal/sstable"
 )
-
-// liveSSIDsLocked returns every live SSID ascending. Caller holds sstMu.
-// Note SSID order is not recency order across levels; this flat list serves
-// identity (checkpoint file sets, counts), not read resolution.
-func (db *DB) liveSSIDsLocked() []uint64 {
-	var ids []uint64
-	for _, lvl := range db.levels {
-		for _, t := range lvl {
-			ids = append(ids, t.SSID)
-		}
-	}
-	slices.Sort(ids)
-	return ids
-}
-
-// liveSSIDs is liveSSIDsLocked under the read lock.
-func (db *DB) liveSSIDs() []uint64 {
-	db.sstMu.RLock()
-	defer db.sstMu.RUnlock()
-	return db.liveSSIDsLocked()
-}
 
 // installVersionLocked replaces the in-memory leveled state with the
 // manifest version v (Open, Restart). Caller holds sstMu.
@@ -160,14 +138,15 @@ func (db *DB) pinSnapshotRange(lo, hi []byte) []uint64 {
 
 // compactionJob is one picked unit of work: the claimed input tables from
 // one level (recency order for L0), the claimed overlapping run at the next
-// level, the pre-allocated output SSID, and the key bounds of the merge.
+// level, and the pre-allocated output SSID. The merge reads every input to
+// its end: a job's inputs are exactly the tables it deletes, so no record
+// of theirs may be left out of the output.
 type compactionJob struct {
 	level   int // input level; the output lands on level+1
 	inputs  []manifest.TableMeta
 	overlap []manifest.TableMeta
 	outID   uint64
-	lo, hi  []byte // input hull, passed to the range-bounded merge
-	bottom  bool   // no live table deeper than the output: tombstones drop
+	bottom  bool // no live table deeper than the output: tombstones drop
 }
 
 // kickCompact wakes a compaction worker; the cap-1 channel coalesces any
@@ -206,28 +185,9 @@ func (db *DB) compactorThread() {
 	}
 }
 
-// compact runs compactions synchronously until no further job is picked
-// and none is in flight, forcing a merge of L0 (plus its L1 overlap) even
-// below the score threshold. Tests and the pre-leveled callers use it as
-// the "merge everything down" lever; like the background workers it defers
-// under a held checkpoint pin.
-func (db *DB) compact() {
-	for {
-		db.runCompactions(true)
-		if db.pendingCompact.value() == 0 {
-			return
-		}
-		// A background job is mid-merge, and its claims (compactL0Busy, the
-		// per-table busy set) may be what made this pass's pick come up
-		// empty. Wait it out — the release can unblock a due job the forced
-		// pass was meant to run — then sweep again.
-		db.pendingCompact.wait()
-	}
-}
-
 // runCompactions picks and runs jobs until none is eligible. force lowers
-// the L0 threshold to "two or more tables would merge", the synchronous
-// compact() semantics.
+// the L0 threshold to "two or more tables would merge": the tests' forced
+// merge-everything-down lever (export_test.go).
 func (db *DB) runCompactions(force bool) {
 	for {
 		if db.readHealth() != nil {
@@ -295,26 +255,12 @@ func (db *DB) pickCompaction(force bool) *compactionJob {
 		if len(db.levels) > 1 {
 			ov = overlapRun(db.levels[1], lo, hi)
 		}
-		// The merge bounds must cover the FULL extent of every input: a
-		// claimed L1 table can stick out past the L0 hull, and bounding the
-		// merge to the bare hull would silently drop its outlying keys while
-		// deleting the table. Widening cannot pull in new L1 overlaps — the
-		// widened span is inside the claimed tables' own ranges, and L1 is
-		// disjoint.
-		for _, t := range ov {
-			if bytes.Compare(t.MinKey, lo) < 0 {
-				lo = t.MinKey
-			}
-			if bytes.Compare(t.MaxKey, hi) > 0 {
-				hi = t.MaxKey
-			}
-		}
 		eligible := score >= 1 || (force && len(l0)+len(ov) >= 2)
 		if eligible && !db.anyClaimedLocked(ov) {
 			inputs := append([]manifest.TableMeta(nil), l0...)
 			// Recency order for the merge: newest SSID first.
 			sort.Slice(inputs, func(i, j int) bool { return inputs[i].SSID > inputs[j].SSID })
-			best = &compactionJob{level: 0, inputs: inputs, overlap: ov, lo: lo, hi: hi}
+			best = &compactionJob{level: 0, inputs: inputs, overlap: ov}
 			bestScore = score
 			if force && bestScore < 1 {
 				bestScore = 1
@@ -394,16 +340,7 @@ func (db *DB) victimJobLocked(n int) *compactionJob {
 		if db.anyClaimedLocked(ov) {
 			continue
 		}
-		lo, hi := v.MinKey, v.MaxKey
-		for _, t := range ov {
-			if bytes.Compare(t.MinKey, lo) < 0 {
-				lo = t.MinKey
-			}
-			if bytes.Compare(t.MaxKey, hi) > 0 {
-				hi = t.MaxKey
-			}
-		}
-		return &compactionJob{level: n, inputs: []manifest.TableMeta{v}, overlap: ov, lo: lo, hi: hi}
+		return &compactionJob{level: n, inputs: []manifest.TableMeta{v}, overlap: ov}
 	}
 	return nil
 }
@@ -464,7 +401,7 @@ func (db *DB) releaseJob(job *compactionJob) {
 	db.kickCompact()
 }
 
-// runJob executes one picked job: range-bounded merge, single Add+Delete
+// runJob executes one picked job: newest-wins merge, single Add+Delete
 // manifest edit, in-memory install, input unlink. A failed merge or commit
 // fails/degrades the rank and leaves the inputs live — the transition
 // simply never happened.
@@ -481,7 +418,7 @@ func (db *DB) runJob(job *compactionJob) {
 		ordered = append(ordered, t.SSID)
 	}
 	outLevel := job.level + 1
-	meta, err := sstable.MergeOrdered(dev, dir, ordered, job.outID, job.lo, job.hi, job.bottom)
+	meta, err := sstable.WriteMerged(dev, dir, ordered, job.outID, job.bottom)
 	if err != nil {
 		db.failOrDegrade(fmt.Errorf("compaction into SSTable %d: %w", job.outID, err))
 		return

@@ -383,3 +383,62 @@ func TestCompactLeveledInvariants(t *testing.T) {
 		return db.Close()
 	})
 }
+
+// TestCompactKeepsOverlapOutliers: an L0 job claims every L1 table that
+// intersects the L0 hull, and such a table can extend past that hull on both
+// sides. The job deletes the whole table, so the merge must carry every one
+// of its records — including the keys outside the hull — into the output.
+func TestCompactKeepsOverlapOutliers(t *testing.T) {
+	runCluster(t, clusterSpec{ranks: 1}, func(rt *Runtime, c *mpi.Comm) error {
+		opt := smallOpt()
+		opt.CompactionEvery = 0    // driven by hand
+		opt.LocalCacheCapacity = 0 // every get below reads the SSTables
+		db, err := rt.Open("outliers", opt)
+		if err != nil {
+			return err
+		}
+		// One wide L1 table: key-000 .. key-039.
+		flushTable(t, db, "key", 20)
+		for i := 20; i < 40; i++ {
+			mustPut(t, db, fmt.Sprintf("key-%03d", i), fmt.Sprintf("key-val-%03d", i))
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		db.compact()
+		db.sstMu.RLock()
+		l1 := len(db.levels) == 2 && len(db.levels[0]) == 0 && len(db.levels[1]) == 1
+		db.sstMu.RUnlock()
+		if !l1 {
+			t.Fatal("setup: want exactly one table, on L1")
+		}
+
+		// A narrow L0 table strictly inside the L1 table's range: its hull
+		// [key-018, key-021] leaves key-000..017 and key-022..039 outside.
+		for i := 18; i < 22; i++ {
+			mustPut(t, db, fmt.Sprintf("key-%03d", i), "narrow")
+		}
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		before := db.Metrics().Compactions.Load()
+		db.compact()
+		if db.Metrics().Compactions.Load() == before {
+			t.Fatal("the L0 table and its L1 overlap did not merge")
+		}
+		if n := db.SSTableCount(); n != 1 {
+			t.Fatalf("%d tables after the merge, want the single L1 output", n)
+		}
+		for i := 0; i < 40; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			want := fmt.Sprintf("key-val-%03d", i)
+			if i >= 18 && i < 22 {
+				want = "narrow"
+			}
+			if err := wantGet(db, k, want); err != nil {
+				t.Errorf("key outside the L0 hull lost or stale: %v", err)
+			}
+		}
+		return db.Close()
+	})
+}

@@ -318,6 +318,17 @@ func TestRestartWithRedistribution(t *testing.T) {
 				return err
 			}
 		}
+		// Overwrite a subset after a flush, so the snapshot holds each
+		// key's old and new versions in different SSTables.
+		if err := db.Barrier(LevelSSTable); err != nil {
+			return err
+		}
+		for i := 5; i < 60; i += 10 {
+			k := fmt.Sprintf("r%d-%03d", c.Rank(), i)
+			if err := db.Put([]byte(k), []byte(fmt.Sprintf("newer-%d", i))); err != nil {
+				return err
+			}
+		}
 		// Exercise tombstones across the snapshot too.
 		if err := db.Delete([]byte(fmt.Sprintf("r%d-000", c.Rank()))); err != nil {
 			return err
@@ -352,6 +363,12 @@ func TestRestartWithRedistribution(t *testing.T) {
 				}
 				if !bytes.Equal(got, workload.Value(48, i)) {
 					return fmt.Errorf("redistributed value mismatch for %s", k)
+				}
+			}
+			for i := 5; i < 60; i += 10 {
+				k := fmt.Sprintf("r%d-%03d", r, i)
+				if err := wantGet(db, k, fmt.Sprintf("newer-%d", i)); err != nil {
+					return fmt.Errorf("redistribution lost the newest version: %w", err)
 				}
 			}
 			if err := wantMissing(db, fmt.Sprintf("r%d-000", r)); err != nil {

@@ -96,7 +96,7 @@ func (db *DB) getMemory(key []byte) (val []byte, tomb, hit bool) {
 }
 
 // getLocalFull is the complete local get: memory structures, then the
-// SSTables on NVM, highest SSID first. Values found in SSTables are
+// SSTables on NVM in probe order (candidateSSIDs). Values found in SSTables are
 // promoted into the local cache (Figure 3).
 func (db *DB) getLocalFull(key []byte) (val []byte, tomb, found bool, err error) {
 	if v, t, hit := db.getMemory(key); hit {

@@ -27,7 +27,6 @@ package core
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 
 	"papyruskv/internal/memtable"
@@ -95,39 +94,8 @@ func (db *DB) sweepZombies() {
 	}
 }
 
-// pinCount reports the pins on one SSID; tests assert pin lifecycles with it.
-func (db *DB) pinCount(id uint64) int {
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
-	return db.pinnedSSIDs[id]
-}
-
-// iterSource is one sorted input of the merge: pri encodes recency (lower =
-// newer source), pull produces the next in-range entry. Entries may alias
-// runtime-owned memory; the iterator copies at its public edge.
-type iterSource struct {
-	pri  int
-	cur  memtable.Entry
-	pull func() (memtable.Entry, bool, error)
-}
-
-// iterHeap orders sources by (current key asc, pri asc), so the top run of
-// equal keys starts with the newest source.
-type iterHeap []*iterSource
-
-func (h iterHeap) Len() int { return len(h) }
-func (h iterHeap) Less(i, j int) bool {
-	if c := bytes.Compare(h[i].cur.Key, h[j].cur.Key); c != 0 {
-		return c < 0
-	}
-	return h[i].pri < h[j].pri
-}
-func (h iterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*iterSource)) }
-func (h *iterHeap) Pop() any     { old := *h; n := len(old); s := old[n-1]; *h = old[:n-1]; return s }
-
 // sliceSource merges a pre-captured []Entry (a mutable table's SnapshotRange).
-func sliceSource(entries []memtable.Entry) func() (memtable.Entry, bool, error) {
+func sliceSource(entries []memtable.Entry) sstable.Source {
 	i := 0
 	return func() (memtable.Entry, bool, error) {
 		if i >= len(entries) {
@@ -141,7 +109,7 @@ func sliceSource(entries []memtable.Entry) func() (memtable.Entry, bool, error) 
 
 // cursorSource merges a sealed table through its lock-free cursor, stopping
 // at hi (empty hi: unbounded).
-func cursorSource(c *memtable.Cursor, hi []byte) func() (memtable.Entry, bool, error) {
+func cursorSource(c *memtable.Cursor, hi []byte) sstable.Source {
 	return func() (memtable.Entry, bool, error) {
 		if !c.Valid() {
 			return memtable.Entry{}, false, nil
@@ -156,7 +124,7 @@ func cursorSource(c *memtable.Cursor, hi []byte) func() (memtable.Entry, bool, e
 }
 
 // scannerSource merges one pinned SSTable through its seeked Scanner.
-func scannerSource(sc *sstable.Scanner, hi []byte) func() (memtable.Entry, bool, error) {
+func scannerSource(sc *sstable.Scanner, hi []byte) sstable.Source {
 	return func() (memtable.Entry, bool, error) {
 		e, ok, err := sc.Next()
 		if err != nil || !ok {
@@ -176,7 +144,7 @@ func scannerSource(sc *sstable.Scanner, hi []byte) func() (memtable.Entry, bool,
 type Iterator struct {
 	db       *DB
 	hi       []byte
-	h        iterHeap
+	m        *sstable.Merger
 	pinned   []uint64
 	scanners []*sstable.Scanner
 	key, val []byte
@@ -215,24 +183,20 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 
 	// MemTables first, SSTables second — see the package comment: this
 	// order makes a concurrent flush a benign duplicate instead of a gap.
-	// Priorities: every MemTable source outranks every SSTable source (a
-	// flushed table leaves the list only after its SSTable is published, so
-	// in-memory versions are never older), newest list entries first.
-	var sources []*iterSource
-	pri := 0
-	add := func(pull func() (memtable.Entry, bool, error)) {
-		sources = append(sources, &iterSource{pri: pri, pull: pull})
-		pri++
-	}
+	// The source list is the merge's recency order: every MemTable source
+	// outranks every SSTable source (a flushed table leaves the list only
+	// after its SSTable is published, so in-memory versions are never
+	// older), newest list entries first.
+	var sources []sstable.Source
 	db.mu.Lock()
-	add(sliceSource(db.localMT.SnapshotRange(lo, it.hi)))
+	sources = append(sources, sliceSource(db.localMT.SnapshotRange(lo, it.hi)))
 	for i := len(db.immLocal) - 1; i >= 0; i-- {
-		add(cursorSource(db.immLocal[i].CursorFrom(lo), it.hi))
+		sources = append(sources, cursorSource(db.immLocal[i].CursorFrom(lo), it.hi))
 	}
 	if withStaging {
-		add(sliceSource(db.remoteMT.SnapshotRange(lo, it.hi)))
+		sources = append(sources, sliceSource(db.remoteMT.SnapshotRange(lo, it.hi)))
 		for i := len(db.immRemote) - 1; i >= 0; i-- {
-			add(cursorSource(db.immRemote[i].CursorFrom(lo), it.hi))
+			sources = append(sources, cursorSource(db.immRemote[i].CursorFrom(lo), it.hi))
 		}
 	}
 	db.mu.Unlock()
@@ -256,22 +220,15 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 			return nil, fmt.Errorf("papyruskv: open iterator on SSTable %d: %w", id, err)
 		}
 		it.scanners = append(it.scanners, sc)
-		add(scannerSource(sc, it.hi))
+		sources = append(sources, scannerSource(sc, it.hi))
 	}
 
-	// Prime the heap: pull each source's first entry, dropping empty ones.
-	for _, s := range sources {
-		e, ok, err := s.pull()
-		if err != nil {
-			it.release()
-			return nil, err
-		}
-		if ok {
-			s.cur = e
-			it.h = append(it.h, s)
-		}
+	m, err := sstable.NewMerger(sources)
+	if err != nil {
+		it.release()
+		return nil, err
 	}
-	heap.Init(&it.h)
+	it.m = m
 	db.metrics.IteratorsOpen.Add(1)
 	return it, nil
 }
@@ -279,38 +236,13 @@ func (db *DB) newIterator(lo, hi []byte, withStaging bool) (*Iterator, error) {
 // step emits the winning version of the next key — tombstones included, so
 // internal consumers (the cross-rank merge, the page producer) can let a
 // newer source's tombstone shadow an older rank-remote stream. Entries alias
-// runtime memory; they are valid until the next step call.
+// runtime memory and stay valid while the snapshot is open.
 func (it *Iterator) step() (memtable.Entry, bool, error) {
-	if it.err != nil {
-		return memtable.Entry{}, false, it.err
+	e, ok, err := it.m.Next()
+	if err != nil {
+		it.err = err
 	}
-	for len(it.h) > 0 {
-		key := it.h[0].cur.Key
-		var winner memtable.Entry
-		winnerPri := int(^uint(0) >> 1)
-		// Consume the whole run of sources positioned on key: the lowest
-		// pri (newest) supplies the surviving version, every older one is
-		// advanced past its shadowed entry.
-		for len(it.h) > 0 && bytes.Equal(it.h[0].cur.Key, key) {
-			s := it.h[0]
-			if s.pri < winnerPri {
-				winner, winnerPri = s.cur, s.pri
-			}
-			e, ok, err := s.pull()
-			if err != nil {
-				it.err = err
-				return memtable.Entry{}, false, err
-			}
-			if ok {
-				s.cur = e
-				heap.Fix(&it.h, 0)
-			} else {
-				heap.Pop(&it.h)
-			}
-		}
-		return winner, true, nil
-	}
-	return memtable.Entry{}, false, nil
+	return e, ok, err
 }
 
 // Next advances to the next live pair, reporting whether one exists.
@@ -367,5 +299,4 @@ func (it *Iterator) release() {
 		it.db.releaseSnapshot(it.pinned)
 		it.pinned = nil
 	}
-	it.h = nil
 }

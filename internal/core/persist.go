@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"papyruskv/internal/manifest"
-	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 	"papyruskv/internal/sstable"
 )
@@ -433,18 +432,7 @@ func (rt *Runtime) restartRedistribute(path, name string, opt Options, m ckptMan
 	go func() {
 		pfs := rt.cfg.PFS
 		for src := rt.rank; src < m.Ranks; src += rt.size {
-			dir := snapshotDir(path, m.Gen, src)
-			ids := snapshotRecency(m.Files[src])
-			err := sstable.MergeScanOrdered(pfs, dir, ids, func(e memtable.Entry) error {
-				if e.Tombstone {
-					// A tombstone in the snapshot only shadowed older
-					// SSTables of the same snapshot; the merge scan has
-					// already suppressed those, so it can be dropped.
-					return nil
-				}
-				return db.Put(e.Key, e.Value)
-			})
-			if err != nil {
+			if err := db.reputSnapshot(pfs, snapshotDir(path, m.Gen, src), snapshotRecency(m.Files[src])); err != nil {
 				ev.complete(err)
 				return
 			}
@@ -453,6 +441,30 @@ func (rt *Runtime) restartRedistribute(path, name string, opt Options, m ckptMan
 		ev.complete(db.Barrier(LevelMemTable))
 	}()
 	return db, ev, nil
+}
+
+// reputSnapshot re-puts the newest version of every key in one source
+// rank's snapshot tables (ids newest first).
+func (db *DB) reputSnapshot(dev *nvm.Device, dir string, ids []uint64) error {
+	m, closeAll, err := sstable.MergeTables(dev, dir, ids)
+	if err != nil {
+		return err
+	}
+	defer closeAll()
+	for {
+		e, ok, err := m.Next()
+		if err != nil || !ok {
+			return err
+		}
+		// A tombstone in the snapshot only shadowed older SSTables of the
+		// same snapshot; the merge has already suppressed those, so it can
+		// be dropped.
+		if !e.Tombstone {
+			if err := db.Put(e.Key, e.Value); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // ssidOfSnapshotFile parses the SSID out of a snapshot file name

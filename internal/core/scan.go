@@ -449,14 +449,6 @@ func (s *scanStream) abort() {
 	_ = s.db.reqComm.Send(s.owner, tagScan, req)
 }
 
-// scanSource is one sorted input of the caller's cross-rank merge.
-type scanSource struct {
-	pri  int
-	cur  memtable.Entry
-	ok   bool
-	pull func(ctx context.Context) (memtable.Entry, bool, error)
-}
-
 // Scan streams every live pair with lo <= key < hi (nil lo: from the start;
 // nil hi: to the end), in ascending key order, to fn. The key and value
 // slices passed to fn are reused between calls; fn must copy anything it
@@ -495,19 +487,16 @@ func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte
 	db.metrics.Scans.Add(1)
 
 	// The self-source includes the staging tables (withStaging): locally
-	// staged entries must shadow their owners' streams. Its priority 0
-	// outranks every stream, implementing staging-wins on key ties; streams
-	// never tie with each other (hash partitioning is disjoint).
+	// staged entries must shadow their owners' streams. It heads the merge's
+	// recency list, implementing staging-wins on key ties; streams never tie
+	// with each other (hash partitioning is disjoint).
 	self, err := db.newIterator(lo, hi, true)
 	if err != nil {
 		return err
 	}
 	defer self.Close()
 
-	sources := []*scanSource{{
-		pri:  0,
-		pull: func(context.Context) (memtable.Entry, bool, error) { return self.step() },
-	}}
+	sources := []sstable.Source{self.step}
 	var streams []*scanStream
 	defer func() {
 		for _, st := range streams {
@@ -520,7 +509,7 @@ func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte
 		}
 		st := &scanStream{db: db, owner: r, id: db.sendSeq.Add(1), lo: lo, hi: hi}
 		streams = append(streams, st)
-		sources = append(sources, &scanSource{pri: r + 1, pull: st.pull})
+		sources = append(sources, func() (memtable.Entry, bool, error) { return st.pull(ctx) })
 	}
 
 	// Fan the opens out in parallel: the first pages arrive concurrently
@@ -540,12 +529,9 @@ func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte
 		wg.Wait()
 	}
 
-	for _, src := range sources {
-		e, ok, err := src.pull(ctx)
-		if err != nil {
-			return err
-		}
-		src.cur, src.ok = e, ok
+	m, err := sstable.NewMerger(sources)
+	if err != nil {
+		return err
 	}
 	var keyBuf, valBuf []byte
 	for {
@@ -554,41 +540,18 @@ func (db *DB) Scan(ctx context.Context, lo, hi []byte, fn func(key, value []byte
 			return fmt.Errorf("papyruskv: %w", ctx.Err())
 		default:
 		}
-		// Linear min over the sources: one per rank plus self, so a heap
-		// buys nothing at realistic world sizes.
-		var minKey []byte
-		for _, src := range sources {
-			if src.ok && (minKey == nil || bytes.Compare(src.cur.Key, minKey) < 0) {
-				minKey = src.cur.Key
-			}
+		e, ok, err := m.Next()
+		if err != nil || !ok {
+			return err
 		}
-		if minKey == nil {
-			break
-		}
-		var winner memtable.Entry
-		winnerPri := int(^uint(0) >> 1)
-		for _, src := range sources {
-			if !src.ok || !bytes.Equal(src.cur.Key, minKey) {
-				continue
-			}
-			if src.pri < winnerPri {
-				winner, winnerPri = src.cur, src.pri
-			}
-			e, ok, err := src.pull(ctx)
-			if err != nil {
-				return err
-			}
-			src.cur, src.ok = e, ok
-		}
-		if winner.Tombstone {
+		if e.Tombstone {
 			continue
 		}
-		keyBuf = append(keyBuf[:0], winner.Key...)
-		valBuf = append(valBuf[:0], winner.Value...)
+		keyBuf = append(keyBuf[:0], e.Key...)
+		valBuf = append(valBuf[:0], e.Value...)
 		db.metrics.ScanPairs.Add(1)
 		if err := fn(keyBuf, valBuf); err != nil {
 			return err
 		}
 	}
-	return self.Err()
 }

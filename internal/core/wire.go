@@ -437,15 +437,3 @@ type putOne struct {
 func encodePutOne(p putOne) []byte {
 	return memtable.EncodeEntries([]memtable.Entry{{Key: p.Key, Value: p.Value, Tombstone: p.Tombstone}})
 }
-
-func decodePutOne(data []byte) (putOne, error) {
-	entries, err := memtable.DecodeEntries(data)
-	if err != nil {
-		return putOne{}, err
-	}
-	if len(entries) != 1 {
-		return putOne{}, fmt.Errorf("core: putOne with %d entries", len(entries))
-	}
-	e := entries[0]
-	return putOne{Key: e.Key, Value: e.Value, Tombstone: e.Tombstone}, nil
-}

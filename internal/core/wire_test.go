@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"papyruskv/internal/memtable"
 )
 
 func TestGetRequestRoundTrip(t *testing.T) {
@@ -144,14 +146,16 @@ func TestGetResponseDecodeErrors(t *testing.T) {
 	}
 }
 
+// A putOne frame is a one-entry batch: the owner decodes it with
+// memtable.DecodeEntries, the same decoder as a migration batch.
 func TestPutOneRoundTrip(t *testing.T) {
 	f := func(key, value []byte, tomb bool) bool {
 		in := putOne{Key: key, Value: value, Tombstone: tomb}
-		out, err := decodePutOne(encodePutOne(in))
-		if err != nil {
+		out, err := memtable.DecodeEntries(encodePutOne(in))
+		if err != nil || len(out) != 1 {
 			return false
 		}
-		return bytes.Equal(out.Key, in.Key) && bytes.Equal(out.Value, in.Value) && out.Tombstone == in.Tombstone
+		return bytes.Equal(out[0].Key, in.Key) && bytes.Equal(out[0].Value, in.Value) && out[0].Tombstone == in.Tombstone
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -159,15 +163,15 @@ func TestPutOneRoundTrip(t *testing.T) {
 }
 
 func TestPutOneDecodeErrors(t *testing.T) {
-	if _, err := decodePutOne(nil); err == nil {
+	if _, err := memtable.DecodeEntries(nil); err == nil {
 		t.Fatal("nil decoded")
 	}
-	// A batch of 2 entries is not a valid putOne.
+	// A batch of 2 entries decodes, but is not a putOne frame.
 	two := append([]byte{2, 0, 0, 0},
 		1, 0, 0, 0, 0, 0, 0, 0, 0, 'a',
 		1, 0, 0, 0, 0, 0, 0, 0, 0, 'b')
-	if _, err := decodePutOne(two); err == nil {
-		t.Fatal("two-entry batch decoded as putOne")
+	if out, err := memtable.DecodeEntries(two); err != nil || len(out) == 1 {
+		t.Fatalf("two-entry batch decoded as %d entries, err %v; want 2 entries", len(out), err)
 	}
 }
 

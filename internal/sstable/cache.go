@@ -64,8 +64,8 @@ const readerOverhead = 4096
 const negBytes = 64
 
 // tableReader is one cached table handle. ready is closed once the load
-// settles; filter/index/data/err are immutable afterwards. refs and dead
-// are guarded by the owning cache's mutex.
+// settles; filter/index/data/err are immutable afterwards. bytes, refs and
+// dead are guarded by the owning cache's mutex.
 type tableReader struct {
 	key   tableKey
 	ready chan struct{}
@@ -173,7 +173,12 @@ func (c *ReaderCache) acquire(dir string, ssid uint64) (*tableReader, error) {
 	case r.err != nil:
 		// Negative entry: keep it at its placeholder size.
 	default:
-		c.used += r.bytes - negBytes
+		// Charge the full size only now, under the lock: an eviction that
+		// ran during the load read r.bytes under the lock too, and must
+		// have seen the placeholder it was charged as.
+		full := int64(r.filter.SizeBytes()) + int64(len(r.index))*indexEntry + readerOverhead
+		c.used += full - r.bytes
+		r.bytes = full
 		c.evictOverLocked()
 	}
 	c.mu.Unlock()
@@ -203,7 +208,6 @@ func (r *tableReader) load(dev *nvm.Device) error {
 	r.filter = filter
 	r.index = index
 	r.data = data
-	r.bytes = int64(filter.SizeBytes()) + int64(len(index))*indexEntry + readerOverhead
 	return nil
 }
 
@@ -274,7 +278,7 @@ func (c *ReaderCache) EvictDir(dir string) {
 }
 
 // cachedCount reports the entry count of a loaded, valid cached index
-// without blocking or touching the device. Merge uses it to size the
+// without blocking or touching the device. WriteMerged uses it to size the
 // output bloom filter for free.
 func (c *ReaderCache) cachedCount(dir string, ssid uint64) (int, bool) {
 	if !c.enabled() {

@@ -3,12 +3,9 @@ package sstable
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io/fs"
 	"sync"
 	"testing"
-
-	"papyruskv/internal/bloom"
 )
 
 func cacheGet(t *testing.T, c *ReaderCache, dir string, ssid uint64, key []byte) ([]byte, bool) {
@@ -268,91 +265,5 @@ func TestEntryCount(t *testing.T) {
 	}
 	if _, err := EntryCount(dev, "db/r0", 2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt index: err = %v", err)
-	}
-}
-
-// TestMergeBloomSizedFromInputs asserts the output bloom filter is sized
-// from the inputs' true entry counts: merging large tables keeps the
-// configured 1% false-positive rate, and merging tiny tables does not
-// allocate the old flat 1024-per-input estimate.
-func TestMergeBloomSizedFromInputs(t *testing.T) {
-	dev := testDev(t)
-	a := sortedEntries(3000, 10)
-	b := sortedEntries(3000, 11)
-	if _, err := WriteTable(dev, "db/r0", 1, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteTable(dev, "db/r0", 2, b); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := Merge(dev, "db/r0", []uint64{1, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Count < 3000 {
-		t.Fatalf("merged count = %d", meta.Count)
-	}
-	raw, err := dev.ReadFile(BloomName("db/r0", 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := bloom.Load(raw[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if f.MayContain([]byte(fmt.Sprintf("absent-%08d", i))) {
-			fp++
-		}
-	}
-	if rate := float64(fp) / probes; rate > 0.03 {
-		t.Errorf("false-positive rate %.4f, want near the configured 0.01", rate)
-	}
-
-	// Tiny merge: two 10-entry tables. The old flat estimate (2048
-	// expected keys) marshals to ~2.5KB; sizing from the real 20 keys
-	// stays under the bloom package's 64-bit floor plus header.
-	if _, err := WriteTable(dev, "db/r1", 1, sortedEntries(10, 12)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteTable(dev, "db/r1", 2, sortedEntries(10, 13)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(dev, "db/r1", []uint64{1, 2}, 3); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = dev.ReadFile(BloomName("db/r1", 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) > 500 {
-		t.Errorf("tiny merge produced a %d-byte bloom file; sizing ignored the true input counts", len(raw))
-	}
-}
-
-// TestMergeSurvivesCorruptIndex: the entry-count read is best-effort — a
-// corrupt index falls back to an estimate instead of failing a merge that
-// only needs the data files.
-func TestMergeSurvivesCorruptIndex(t *testing.T) {
-	dev := testDev(t)
-	a := sortedEntries(20, 14)
-	b := sortedEntries(20, 15)
-	if _, err := WriteTable(dev, "db/r0", 1, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteTable(dev, "db/r0", 2, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.WriteFile(IndexName("db/r0", 2), []byte("garbage-index-xx")); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := Merge(dev, "db/r0", []uint64{1, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Count == 0 {
-		t.Fatal("merge produced an empty table")
 	}
 }

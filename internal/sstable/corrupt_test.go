@@ -2,10 +2,8 @@ package sstable
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
-	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 )
 
@@ -174,77 +172,5 @@ func TestBitFlipBloomDetected(t *testing.T) {
 	_, _, _, err := Get(dev, "d", 1, sortedEntries(16, 7)[0].Key, BinarySearch, true)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestMergeScanNewestWins(t *testing.T) {
-	dev := corruptDev(t)
-	WriteTable(dev, "d", 1, []memtable.Entry{
-		{Key: []byte("a"), Value: []byte("old")},
-		{Key: []byte("b"), Value: []byte("keep")},
-	})
-	WriteTable(dev, "d", 2, []memtable.Entry{
-		{Key: []byte("a"), Value: []byte("new")},
-		{Key: []byte("c"), Tombstone: true},
-	})
-	var got []string
-	err := MergeScan(dev, "d", []uint64{1, 2}, func(e memtable.Entry) error {
-		got = append(got, fmt.Sprintf("%s=%s/%v", e.Key, e.Value, e.Tombstone))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a=new/false", "b=keep/false", "c=/true"}
-	if len(got) != len(want) {
-		t.Fatalf("MergeScan yielded %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MergeScan[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	// Inputs must survive (MergeScan never deletes).
-	ids, _ := ListSSIDs(dev, "d")
-	if len(ids) != 2 {
-		t.Fatalf("MergeScan deleted inputs: %v", ids)
-	}
-}
-
-func TestMergeScanCallbackError(t *testing.T) {
-	dev := corruptDev(t)
-	WriteTable(dev, "d", 1, sortedEntries(10, 4))
-	wantErr := fmt.Errorf("stop here")
-	calls := 0
-	err := MergeScan(dev, "d", []uint64{1}, func(memtable.Entry) error {
-		calls++
-		if calls == 3 {
-			return wantErr
-		}
-		return nil
-	})
-	if err != wantErr {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("callback ran %d times after error", calls)
-	}
-}
-
-func TestMergeScanMissingInput(t *testing.T) {
-	dev := corruptDev(t)
-	if err := MergeScan(dev, "d", []uint64{42}, func(memtable.Entry) error { return nil }); err == nil {
-		t.Fatal("missing input scanned")
-	}
-}
-
-func TestMergeScanEmptyInputs(t *testing.T) {
-	dev := corruptDev(t)
-	called := false
-	if err := MergeScan(dev, "d", nil, func(memtable.Entry) error { called = true; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Fatal("callback ran with no inputs")
 	}
 }

@@ -6,34 +6,139 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"papyruskv/internal/memtable"
 	"papyruskv/internal/nvm"
 )
 
-// Merge compacts the SSTables listed in ssids (any order) into a single new
-// SSTable newSSID. When several inputs hold the same key, the record from
-// the input with the highest SSID — the newest — wins (§2.5). Tombstones
-// are carried into the merged table: a compaction over a subset of SSTables
-// cannot prove the key is absent from older, unmerged tables, so dropping
-// the tombstone would resurrect deleted keys.
-func Merge(dev *nvm.Device, dir string, ssids []uint64, newSSID uint64) (Meta, error) {
-	ordered := append([]uint64(nil), ssids...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] > ordered[j] })
-	return MergeOrdered(dev, dir, ordered, newSSID, nil, nil, false)
+// Source is one sorted input of a Merger: each call returns the next entry
+// in ascending key order, ok=false at the end. An entry a source returned
+// must stay valid after the source advances — the merger holds each
+// source's current entry while it pulls the next one. Every source in the
+// repo satisfies this: Scanner.Next allocates per record, sealed MemTables
+// are immutable, and snapshot slices and scan pages are retained.
+type Source func() (memtable.Entry, bool, error)
+
+// Merger is the store's one k-way merge (§2.5): compaction, restart
+// redistribution, the per-rank iterator and the cross-rank scan all run
+// through it. Sources are listed newest first; Next returns the newest
+// version of each key in ascending key order, tombstones included, and
+// advances every older source past the versions it shadows.
+type Merger struct {
+	h   inputHeap
+	err error
 }
 
-// MergeOrdered compacts the SSTables listed in inputs — newest FIRST; with
-// leveled compaction SSID order is no longer recency order, so the caller
-// states recency explicitly — into a single new SSTable newSSID. Only
-// records with lo <= key <= hi are merged (nil bounds are unbounded), so a
-// leveled compaction can rewrite just the victim's key range. When several
-// inputs hold the same key, the earliest input in the list wins.
+// input is one source positioned on its current entry; pri is its list
+// position (lower = newer, wins ties).
+type input struct {
+	pri  int
+	cur  memtable.Entry
+	pull Source
+}
+
+// inputHeap orders inputs by (current key asc, pri asc), so the top run of
+// equal keys starts with the newest source.
+type inputHeap []*input
+
+func (h inputHeap) Len() int { return len(h) }
+func (h inputHeap) Less(i, j int) bool {
+	if c := bytes.Compare(h[i].cur.Key, h[j].cur.Key); c != 0 {
+		return c < 0
+	}
+	return h[i].pri < h[j].pri
+}
+func (h inputHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *inputHeap) Push(x any)   { *h = append(*h, x.(*input)) }
+func (h *inputHeap) Pop() any     { old := *h; n := len(old); s := old[n-1]; *h = old[:n-1]; return s }
+
+// NewMerger primes a merge over sources, newest first: each source's first
+// entry is pulled here, so an unreadable input fails the open.
+func NewMerger(sources []Source) (*Merger, error) {
+	m := &Merger{}
+	for pri, pull := range sources {
+		e, ok, err := pull()
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			m.h = append(m.h, &input{pri: pri, cur: e, pull: pull})
+		}
+	}
+	heap.Init(&m.h)
+	return m, nil
+}
+
+// Next returns the newest version of the next key. ok=false signals the end
+// of every source. A source error is sticky: it is returned from this and
+// every later call.
+func (m *Merger) Next() (memtable.Entry, bool, error) {
+	if m.err != nil {
+		return memtable.Entry{}, false, m.err
+	}
+	if len(m.h) == 0 {
+		return memtable.Entry{}, false, nil
+	}
+	// The heap top is the newest version of the smallest key; consume the
+	// whole run of inputs positioned on that key, advancing each past it.
+	winner := m.h[0].cur
+	for len(m.h) > 0 && bytes.Equal(m.h[0].cur.Key, winner.Key) {
+		in := m.h[0]
+		e, ok, err := in.pull()
+		if err != nil {
+			m.err = err
+			return memtable.Entry{}, false, err
+		}
+		if ok {
+			in.cur = e
+			heap.Fix(&m.h, 0)
+		} else {
+			heap.Pop(&m.h)
+		}
+	}
+	return winner, true, nil
+}
+
+// MergeTables opens one Scanner per SSTable in ids — newest FIRST; with
+// leveled compaction SSID order is not recency order, so the caller states
+// recency explicitly — and merges them. The returned close function
+// releases the scanners; it must be called even after a merge error. The
+// merge performs the sequential file reads the paper describes and never
+// holds more than one record per input in memory.
+func MergeTables(dev *nvm.Device, dir string, ids []uint64) (*Merger, func(), error) {
+	scanners := make([]*Scanner, 0, len(ids))
+	closeAll := func() {
+		for _, sc := range scanners {
+			sc.Close()
+		}
+	}
+	sources := make([]Source, 0, len(ids))
+	for _, id := range ids {
+		sc, err := NewScanner(dev, dir, id)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		scanners = append(scanners, sc)
+		sources = append(sources, sc.Next)
+	}
+	m, err := NewMerger(sources)
+	if err != nil {
+		closeAll()
+		return nil, nil, err
+	}
+	return m, closeAll, nil
+}
+
+// WriteMerged compacts the SSTables listed in inputs (newest first, as for
+// MergeTables) into a single new SSTable newSSID. When several inputs hold
+// the same key, the earliest input in the list wins.
 //
 // dropTombstones elides deletion markers from the output; it is only sound
 // when the output lands on the bottom level of the store — any deeper table
-// could otherwise resurrect the deleted key.
+// could otherwise resurrect the deleted key. Otherwise tombstones are
+// carried into the output: a compaction over a subset of SSTables cannot
+// prove the key is absent from older, unmerged tables.
 //
 // The inputs are NOT deleted here. The caller must first commit the
 // install+delete edit to its manifest and only then Remove the inputs — a
@@ -41,89 +146,49 @@ func Merge(dev *nvm.Device, dir string, ssids []uint64, newSSID uint64) (Meta, e
 // leave either the old version (edit not committed: the output is an
 // orphan, quarantined on reopen) or the new one (edit committed: leftover
 // inputs are orphans), never a mix that resurrects overwritten values.
-//
-// The merge is a streaming k-way heap merge over sequential scanners, so it
-// performs the sequential file reads the paper describes and never holds
-// more than one record per input in memory.
-func MergeOrdered(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, lo, hi []byte, dropTombstones bool) (Meta, error) {
-	scanners := make([]*Scanner, 0, len(inputs))
-	defer func() {
-		for _, sc := range scanners {
-			sc.Close()
-		}
-	}()
+func WriteMerged(dev *nvm.Device, dir string, inputs []uint64, newSSID uint64, dropTombstones bool) (Meta, error) {
+	m, closeAll, err := MergeTables(dev, dir, inputs)
+	if err != nil {
+		return Meta{}, err
+	}
+	defer closeAll()
 
-	h := &mergeHeap{}
+	// Size the output bloom filter from the inputs' true entry counts, so
+	// merging large tables keeps the configured false-positive rate and
+	// merging tiny ones does not over-allocate. The count is free when the
+	// input's index is in the reader cache; otherwise it is a 16-byte
+	// header read. An unreadable index falls back to a rough estimate
+	// rather than failing the merge — the merge itself only needs the data
+	// files.
 	expected := 0
-	for pri, id := range inputs {
-		sc, err := NewScanner(dev, dir, id)
-		if err != nil {
-			return Meta{}, err
-		}
-		scanners = append(scanners, sc)
-		if len(lo) > 0 {
-			if err := sc.SeekGE(lo); err != nil {
-				return Meta{}, err
-			}
-		}
-		e, ok, err := sc.Next()
-		if err != nil {
-			return Meta{}, err
-		}
-		if ok {
-			heap.Push(h, mergeItem{entry: e, pri: pri, scanner: sc})
-		}
-		// Size the output bloom filter from the inputs' true entry counts,
-		// so merging large tables keeps the configured false-positive rate
-		// and merging tiny ones does not over-allocate. The count is free
-		// when the input's index is in the reader cache; otherwise it is a
-		// 16-byte header read. An unreadable index falls back to a rough
-		// estimate rather than failing the merge — the merge itself only
-		// needs the data files. A range-bounded merge over-allocates by the
-		// out-of-range share; that costs bloom bits, never correctness.
+	for _, id := range inputs {
 		if n, err := EntryCount(dev, dir, id); err == nil {
 			expected += n
 		} else {
 			expected += 1024
 		}
 	}
-
 	w, err := NewWriter(dev, dir, newSSID, expected)
 	if err != nil {
 		return Meta{}, err
 	}
-
-	var lastKey []byte
-	haveLast := false
-	for h.Len() > 0 {
-		item := heap.Pop(h).(mergeItem)
-		if len(hi) > 0 && bytes.Compare(item.entry.Key, hi) > 0 {
-			// Every remaining record in every input is past the range.
-			break
-		}
-		// The heap orders equal keys by input priority, so the first
-		// occurrence of a key is the newest; later duplicates are stale.
-		if !haveLast || !bytes.Equal(item.entry.Key, lastKey) {
-			if !dropTombstones || !item.entry.Tombstone {
-				if err := w.Add(item.entry); err != nil {
-					w.Abort()
-					return Meta{}, err
-				}
-			}
-			lastKey = append(lastKey[:0], item.entry.Key...)
-			haveLast = true
-		}
-		next, ok, err := item.scanner.Next()
+	for {
+		e, ok, err := m.Next()
 		if err != nil {
 			w.Abort()
 			return Meta{}, err
 		}
-		if ok {
-			heap.Push(h, mergeItem{entry: next, pri: item.pri, scanner: item.scanner})
+		if !ok {
+			return w.Close()
+		}
+		if dropTombstones && e.Tombstone {
+			continue
+		}
+		if err := w.Add(e); err != nil {
+			w.Abort()
+			return Meta{}, err
 		}
 	}
-
-	return w.Close()
 }
 
 // EntryCount returns the number of records in SSTable ssid, from the
@@ -154,88 +219,4 @@ func EntryCount(dev *nvm.Device, dir string, ssid uint64) (int, error) {
 		return 0, fmt.Errorf("%w: implausible index count %d", ErrCorrupt, count)
 	}
 	return int(count), nil
-}
-
-// MergeScan streams the logical merge of the given SSTables — each key's
-// newest version only, in ascending key order — to fn without writing a new
-// table. Recency is SSID order (pre-leveled semantics); use
-// MergeScanOrdered when the caller knows a different recency order.
-func MergeScan(dev *nvm.Device, dir string, ssids []uint64, fn func(memtable.Entry) error) error {
-	ordered := append([]uint64(nil), ssids...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] > ordered[j] })
-	return MergeScanOrdered(dev, dir, ordered, fn)
-}
-
-// MergeScanOrdered streams the logical merge of the given SSTables — inputs
-// newest FIRST, each key's newest version only, in ascending key order — to
-// fn without writing a new table. Restart-with-redistribution uses it to
-// re-put each snapshot pair exactly once (§4.2). A non-nil error from fn
-// aborts the scan.
-func MergeScanOrdered(dev *nvm.Device, dir string, inputs []uint64, fn func(memtable.Entry) error) error {
-	scanners := make([]*Scanner, 0, len(inputs))
-	defer func() {
-		for _, sc := range scanners {
-			sc.Close()
-		}
-	}()
-	h := &mergeHeap{}
-	for pri, id := range inputs {
-		sc, err := NewScanner(dev, dir, id)
-		if err != nil {
-			return err
-		}
-		scanners = append(scanners, sc)
-		e, ok, err := sc.Next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			heap.Push(h, mergeItem{entry: e, pri: pri, scanner: sc})
-		}
-	}
-	var lastKey []byte
-	haveLast := false
-	for h.Len() > 0 {
-		item := heap.Pop(h).(mergeItem)
-		if !haveLast || !bytes.Equal(item.entry.Key, lastKey) {
-			if err := fn(item.entry); err != nil {
-				return err
-			}
-			lastKey = append(lastKey[:0], item.entry.Key...)
-			haveLast = true
-		}
-		next, ok, err := item.scanner.Next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			heap.Push(h, mergeItem{entry: next, pri: item.pri, scanner: item.scanner})
-		}
-	}
-	return nil
-}
-
-type mergeItem struct {
-	entry   memtable.Entry
-	pri     int // input position: lower = newer, wins ties
-	scanner *Scanner
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if c := bytes.Compare(h[i].entry.Key, h[j].entry.Key); c != 0 {
-		return c < 0
-	}
-	return h[i].pri < h[j].pri // newest first among equal keys
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }

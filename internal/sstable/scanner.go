@@ -12,8 +12,10 @@ import (
 )
 
 // Scanner streams the records of one SSData file in key order, reading the
-// file in large sequential chunks. Compaction, checkpoint redistribution,
-// sequential-search gets, and range scans all use it.
+// file in large sequential chunks. Its Next is a merge Source: every record
+// it returns has its own allocation, so it stays valid after the scanner
+// advances. Compaction and restart redistribution (through MergeTables),
+// the per-rank iterator (after a SeekGE), and sequential-search gets use it.
 type Scanner struct {
 	f    *nvm.File
 	dev  *nvm.Device
@@ -237,23 +239,3 @@ func (s *Scanner) Next() (memtable.Entry, bool, error) {
 
 // Close releases the underlying file.
 func (s *Scanner) Close() error { return s.f.Close() }
-
-// ReadAll returns every record of SSTable ssid in key order.
-func ReadAll(dev *nvm.Device, dir string, ssid uint64) ([]memtable.Entry, error) {
-	sc, err := NewScanner(dev, dir, ssid)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	var out []memtable.Entry
-	for {
-		e, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, e)
-	}
-}

@@ -111,12 +111,12 @@ func TestScannerRoundTrip(t *testing.T) {
 	if _, err := WriteTable(dev, "d", 3, entries); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(dev, "d", 3)
+	got, err := readAll(dev, "d", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(entries) {
-		t.Fatalf("ReadAll len = %d", len(got))
+		t.Fatalf("readAll len = %d", len(got))
 	}
 	for i := range entries {
 		if !bytes.Equal(got[i].Key, entries[i].Key) || !bytes.Equal(got[i].Value, entries[i].Value) || got[i].Tombstone != entries[i].Tombstone {
@@ -140,7 +140,7 @@ func TestScannerLargeValuesAcrossChunks(t *testing.T) {
 	if _, err := WriteTable(dev, "d", 1, entries); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(dev, "d", 1)
+	got, err := readAll(dev, "d", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestEmptyTable(t *testing.T) {
 	if _, _, found, err := Get(dev, "d", 1, []byte("x"), BinarySearch, true); err != nil || found {
 		t.Fatalf("get on empty table: %v %v", found, err)
 	}
-	all, err := ReadAll(dev, "d", 1)
+	all, err := readAll(dev, "d", 1)
 	if err != nil || len(all) != 0 {
-		t.Fatalf("ReadAll on empty = %v, %v", all, err)
+		t.Fatalf("readAll on empty = %v, %v", all, err)
 	}
 }
 
@@ -199,113 +199,6 @@ func TestRemove(t *testing.T) {
 	ids, _ := ListSSIDs(dev, "d")
 	if len(ids) != 0 {
 		t.Fatalf("SSIDs after remove: %v", ids)
-	}
-}
-
-func TestMergeNewestWins(t *testing.T) {
-	dev := testDev(t)
-	// SSID 1: k1=old, k2=old, k3=only-in-1
-	WriteTable(dev, "d", 1, []memtable.Entry{
-		{Key: []byte("k1"), Value: []byte("old1")},
-		{Key: []byte("k2"), Value: []byte("old2")},
-		{Key: []byte("k3"), Value: []byte("only1")},
-	})
-	// SSID 2: k1 updated, k4 added
-	WriteTable(dev, "d", 2, []memtable.Entry{
-		{Key: []byte("k1"), Value: []byte("new1")},
-		{Key: []byte("k4"), Value: []byte("only2")},
-	})
-	// SSID 3: k2 deleted
-	WriteTable(dev, "d", 3, []memtable.Entry{
-		{Key: []byte("k2"), Tombstone: true},
-	})
-	meta, err := Merge(dev, "d", []uint64{1, 2, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.SSID != 4 || meta.Count != 4 {
-		t.Fatalf("merge meta = %+v", meta)
-	}
-	// Merge leaves the inputs in place — deleting them is the caller's job,
-	// after the install+delete edit is committed to the manifest.
-	ids, _ := ListSSIDs(dev, "d")
-	if len(ids) != 4 {
-		t.Fatalf("SSIDs after merge = %v, want inputs retained alongside the output", ids)
-	}
-	for _, id := range []uint64{1, 2, 3} {
-		if err := Remove(dev, "d", id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids, _ = ListSSIDs(dev, "d")
-	if len(ids) != 1 || ids[0] != 4 {
-		t.Fatalf("SSIDs after removing inputs = %v", ids)
-	}
-	check := func(key, want string, wantTomb bool) {
-		t.Helper()
-		val, tomb, found, err := Get(dev, "d", 4, []byte(key), BinarySearch, true)
-		if err != nil || !found {
-			t.Fatalf("Get(%s) found=%v err=%v", key, found, err)
-		}
-		if tomb != wantTomb || string(val) != want {
-			t.Fatalf("Get(%s) = %q tomb=%v; want %q tomb=%v", key, val, tomb, want, wantTomb)
-		}
-	}
-	check("k1", "new1", false)
-	check("k2", "", true) // tombstone carried through
-	check("k3", "only1", false)
-	check("k4", "only2", false)
-}
-
-func TestMergeEquivalentToMap(t *testing.T) {
-	dev := testDev(t)
-	rng := rand.New(rand.NewSource(9))
-	mirror := map[string]memtable.Entry{}
-	var ssids []uint64
-	for ssid := uint64(1); ssid <= 5; ssid++ {
-		m := memtable.New()
-		for i := 0; i < 300; i++ {
-			k := fmt.Sprintf("k%03d", rng.Intn(400))
-			e := memtable.Entry{Key: []byte(k), Value: []byte(fmt.Sprintf("v%d-%d", ssid, i)), Tombstone: rng.Intn(10) == 0}
-			m.Put(e)
-		}
-		for _, e := range m.Entries() {
-			mirror[string(e.Key)] = e
-		}
-		if _, err := WriteTable(dev, "d", ssid, m.Entries()); err != nil {
-			t.Fatal(err)
-		}
-		ssids = append(ssids, ssid)
-	}
-	meta, err := Merge(dev, "d", ssids, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Count != len(mirror) {
-		t.Fatalf("merged count = %d, mirror %d", meta.Count, len(mirror))
-	}
-	got, err := ReadAll(dev, "d", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range got {
-		want := mirror[string(e.Key)]
-		if !bytes.Equal(e.Value, want.Value) || e.Tombstone != want.Tombstone {
-			t.Fatalf("key %q: got %+v want %+v", e.Key, e, want)
-		}
-	}
-}
-
-func TestMergeSingleInput(t *testing.T) {
-	dev := testDev(t)
-	entries := sortedEntries(50, 3)
-	WriteTable(dev, "d", 1, entries)
-	if _, err := Merge(dev, "d", []uint64{1}, 2); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := ReadAll(dev, "d", 2)
-	if len(got) != 50 {
-		t.Fatalf("merged single input = %d records", len(got))
 	}
 }
 
